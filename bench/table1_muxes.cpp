@@ -22,6 +22,19 @@ struct TopoRow {
   bool domino;
 };
 
+/// Why an iso-delay comparison produced no spec-meeting GP design.
+std::string failure_reason(const core::IsoDelayComparison& cmp) {
+  const auto& r = cmp.smart;
+  if (!r.ok) return r.status.to_string();
+  if (r.rung != core::SizingRung::kGp)
+    return util::strfmt("degraded to the %s rung: %s",
+                        core::to_string(r.rung), r.message.c_str());
+  return util::strfmt("%s: measured %.2f ps against spec %.2f ps (best of "
+                      "%zu respec iterations)",
+                      r.message.c_str(), r.measured_delay_ps,
+                      cmp.baseline.measured_delay_ps, r.respec_trace.size());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -45,10 +58,10 @@ int main(int argc, char** argv) {
   };
 
   util::Table table({"Topology", "Xtor Width Savings", "Clock Load Savings",
-                     "instances"});
+                     "instances", "failed"});
   for (const auto& row : rows) {
     double width_sum = 0.0, clock_sum = 0.0;
-    int ok = 0;
+    int ok = 0, failed = 0;
     for (const auto& inst : row.instances) {
       core::MacroSpec spec;
       spec.type = "mux";
@@ -61,18 +74,27 @@ int main(int argc, char** argv) {
       // instances are therefore optimized for power, static ones for width.
       if (row.domino) opt.sizer.cost = core::CostMetric::kPower;
       const auto cmp = bench::iso(nl, opt);
-      if (!cmp.ok) continue;
+      if (!cmp.ok) {
+        // Savings average over the instances that met spec; each failure
+        // is named with its reason and counted in the row.
+        ++failed;
+        std::printf("FAILED %s %d:1 x %d-bit @ %g fF: %s\n", row.topo,
+                    inst.n, inst.bits, inst.load,
+                    failure_reason(cmp).c_str());
+        continue;
+      }
       ++ok;
       width_sum += cmp.width_saving();
       clock_sum += cmp.clock_saving();
     }
+    const std::string failed_col = util::strfmt("%d", failed);
     if (ok == 0) {
-      table.add_row({row.paper_name, "n/a", "n/a", "0"});
+      table.add_row({row.paper_name, "n/a", "n/a", "0", failed_col});
       continue;
     }
     table.add_row({row.paper_name, bench::pct(width_sum / ok),
                    row.domino ? bench::pct(clock_sum / ok) : "n/a",
-                   util::strfmt("%d", ok)});
+                   util::strfmt("%d", ok), failed_col});
   }
   std::printf("%s", table.render(
       "Table 1 - Mux topologies: average savings vs hand-sized original "

@@ -75,12 +75,6 @@ struct Func {
     return value + zmax + std::log(denom);
   }
 
-  /// Value only (allocating convenience overload for cold paths).
-  double value_at(const Vec& y) const {
-    std::vector<double> z;
-    return value_at(y, z);
-  }
-
   /// Value plus local derivatives. g_local is indexed by full_support
   /// (gradient), h_local row-major |support| x |support| (LSE Hessian; the
   /// linear part has none). Buffers are resized here; callers reuse them.
@@ -324,8 +318,13 @@ enum class NewtonFailure { kNone, kNonFinite, kTimeout };
 
 struct NewtonOutcome {
   int iterations = 0;
-  bool converged = false;
+  StageExit exit = StageExit::kIterLimit;
   NewtonFailure failure = NewtonFailure::kNone;
+
+  bool converged() const {
+    return exit == StageExit::kDecrement || exit == StageExit::kStall ||
+           exit == StageExit::kFeasible;
+  }
 };
 
 /// Damped Newton minimization of the barrier objective for fixed t.
@@ -333,6 +332,12 @@ struct NewtonOutcome {
 /// minimization as soon as it returns true (used by phase I). `y` only ever
 /// moves to finite accepted points: a failed iteration leaves it at the
 /// last good iterate, so callers can always report a usable point.
+///
+/// The line search accepts a step only if it strictly lowers phi. At high t
+/// the Armijo decrease 1e-4 * alpha * lambda^2 falls below the rounding
+/// error of phi, and a non-strict test then accepts steps that change
+/// nothing, burning the stage's whole iteration budget; with the strict
+/// test such a stage ends at once as a line-search stall.
 NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
                               const SolverOptions& opt,
                               const Deadline& deadline,
@@ -345,6 +350,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     return out;
   }
   Vec grad(n, 0.0);
+  Vec trial(n, 0.0);
   BarrierScratch scratch;
 
   // KKT backend selection, once per minimization: the Hessian's sparsity
@@ -384,6 +390,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
 
   for (int it = 0; it < opt.max_newton_iters; ++it) {
     if (deadline.expired()) {
+      out.exit = StageExit::kFailed;
       out.failure = NewtonFailure::kTimeout;
       return out;
     }
@@ -399,6 +406,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     phi = util::fault_corrupt(util::FaultClass::kSolverNonFinite,
                               "gp.newton.phi", phi);
     if (!std::isfinite(phi)) {
+      out.exit = StageExit::kFailed;
       out.failure = NewtonFailure::kNonFinite;
       return out;
     }
@@ -411,41 +419,44 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
                  ? util::skyline_cholesky_solve(sky, util::scaled(grad, -1.0))
                  : util::cholesky_solve(hess, util::scaled(grad, -1.0));
     } catch (const util::Error&) {
+      out.exit = StageExit::kFailed;
       out.failure = NewtonFailure::kNonFinite;
       return out;
     }
     const double decrement2 = -util::dot(grad, step);
     if (!std::isfinite(decrement2)) {
+      out.exit = StageExit::kFailed;
       out.failure = NewtonFailure::kNonFinite;
       return out;
     }
     out.iterations = it + 1;
     if (decrement2 / 2.0 < opt.tolerance * 1e-2) {
-      out.converged = true;
+      out.exit = StageExit::kDecrement;
       return out;
     }
-    // Backtracking line search (Armijo on phi, domain-respecting).
+    // Backtracking line search (Armijo on phi, strict decrease,
+    // domain-respecting). `trial` is reused across trials and iterations.
     double alpha = 1.0;
     bool accepted = false;
     for (int ls = 0; ls < 70; ++ls) {
-      Vec trial = y;
+      trial = y;
       util::axpy(alpha, step, trial);
       const double phi_trial =
           barrier_eval(bp, t, trial, nullptr, HessSink{}, scratch);
-      if (std::isfinite(phi_trial) &&
+      if (std::isfinite(phi_trial) && phi_trial < phi &&
           phi_trial <= phi - 1e-4 * alpha * decrement2) {
-        y = std::move(trial);
+        std::swap(y, trial);
         accepted = true;
         break;
       }
       alpha *= 0.5;
     }
     if (!accepted) {
-      out.converged = true;  // cannot make progress; treat as stationary
+      out.exit = StageExit::kStall;  // no progress; treat as stationary
       return out;
     }
     if (early_exit && early_exit(y)) {
-      out.converged = true;
+      out.exit = StageExit::kFeasible;
       return out;
     }
   }
@@ -472,6 +483,22 @@ FailureReason reason_of(SolveStatus s) {
 }
 
 }  // namespace
+
+const char* to_string(StageExit exit) {
+  switch (exit) {
+    case StageExit::kDecrement:
+      return "decrement";
+    case StageExit::kStall:
+      return "stall";
+    case StageExit::kFeasible:
+      return "feasible";
+    case StageExit::kIterLimit:
+      return "iter_limit";
+    case StageExit::kFailed:
+      return "failed";
+  }
+  return "unknown";
+}
 
 const char* to_string(SolveStatus status) {
   switch (status) {
@@ -600,9 +627,13 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
 
   const Deadline deadline = Deadline::from_ms(options_.deadline_ms);
 
+  // max_j F_j(yy). Only reads yy[0..n), so phase I passes its augmented
+  // (y, s) iterate directly.
+  std::vector<double> max_scratch;
   auto max_constraint = [&](const Vec& yy) {
     double m = -std::numeric_limits<double>::infinity();
-    for (const auto& f : constraints) m = std::max(m, f.value_at(yy));
+    for (const auto& f : constraints)
+      m = std::max(m, f.value_at(yy, max_scratch));
     return m;
   };
 
@@ -702,9 +733,19 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       ys.push_back(s0);
       const double want = -2.0 * options_.feas_margin;
       auto feasible_now = [&](const Vec& yy) {
-        Vec ycore(yy.begin(), yy.begin() + static_cast<long>(n));
-        return max_constraint(ycore) < want;
+        return max_constraint(yy) < want;
       };
+      // Infeasibility certificate. At the central point of weight t the
+      // duality gap of "min s s.t. F_j(y) <= s, y and s in their boxes" is
+      // m1 / t, m1 counting the constraints plus both sides of all n + 1
+      // boxes (Boyd & Vandenberghe §11.2), so s(t) - m1/t bounds the
+      // optimal s from below. Once that bound exceeds feas_margin no point
+      // can be strictly feasible and the rest of the schedule cannot
+      // change the verdict. Only a stage that ended on the Newton
+      // decrement test is centered enough to issue it.
+      const double m1 = static_cast<double>(aug.size()) +
+                        2.0 * static_cast<double>(n + 1);
+      double certified_bound = -std::numeric_limits<double>::infinity();
       double t = 1.0;
       NewtonFailure p1_failure = NewtonFailure::kNone;
       for (int stage = 0; stage < options_.max_barrier_stages; ++stage) {
@@ -713,12 +754,18 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
             newton_minimize(p1, t, ys, options_, deadline, feasible_now);
         total_newton += outcome.iterations;
         trace.push_back({static_cast<int>(trace.size()), true, t,
-                         outcome.iterations, outcome.converged, -1.0});
+                         outcome.iterations, outcome.converged(), -1.0,
+                         outcome.exit});
         if (outcome.failure != NewtonFailure::kNone) {
           p1_failure = outcome.failure;
           break;
         }
         if (feasible_now(ys)) break;
+        if (outcome.exit == StageExit::kDecrement &&
+            ys[n] - m1 / t > options_.feas_margin) {
+          certified_bound = ys[n] - m1 / t;
+          break;
+        }
         if (static_cast<double>(aug.size()) / t < options_.tolerance) break;
         t *= options_.barrier_mu;
       }
@@ -730,6 +777,16 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       if (p1_failure == NewtonFailure::kNonFinite) {
         finish(SolveStatus::kNumericalError,
                "non-finite value in a phase I Newton step");
+        return;
+      }
+      if (certified_bound > options_.feas_margin) {
+        obs::Telemetry::instance().counter_add(
+            "gp.solve.infeasible_certified");
+        finish(SolveStatus::kInfeasible,
+               util::strfmt("phase I certified infeasible: at every point "
+                            "some constraint has lhs >= %.6g (log-domain "
+                            "lower bound %.4g at t=%.3g)",
+                            std::exp(certified_bound), certified_bound, t));
         return;
       }
       if (max_constraint(y) >= 0.0) {
@@ -764,7 +821,8 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       total_newton += outcome.iterations;
       t_final = t;
       trace.push_back({static_cast<int>(trace.size()), false, t,
-                       outcome.iterations, outcome.converged, m_total / t});
+                       outcome.iterations, outcome.converged(), m_total / t,
+                       outcome.exit});
       if (outcome.failure == NewtonFailure::kTimeout) {
         finish(SolveStatus::kTimeout, "deadline exceeded in phase II");
         return;
@@ -774,8 +832,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
                "non-finite value in a phase II Newton step");
         return;
       }
-      stage_exhausted = !outcome.converged &&
-                        outcome.iterations >= options_.max_newton_iters;
+      stage_exhausted = outcome.exit == StageExit::kIterLimit;
       if (options_.verbose) {
         util::log_debug(util::strfmt("gp: stage %d t=%.3g newton=%d", stage,
                                      t, outcome.iterations));
@@ -809,10 +866,9 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     if (yhi[i] - ylo[i] < 1e-12) y0[i] = ylo[i];  // effectively fixed var
   }
 
-  // Multi-start: retry failed solves from deterministically perturbed
-  // initial points. Genuine infeasibility is not retried unless marginal
-  // (small violation) — restarts cannot manufacture feasibility, but they
-  // do rescue phase I runs wedged by a bad starting corner.
+  // Multi-start: retry a numerical fault from deterministically perturbed
+  // initial points. Nothing else is retried: both phases are convex, so a
+  // new start changes neither the optimum nor the feasibility verdict.
   int cumulative_newton = 0;
   for (int a = 0; a <= std::max(0, options_.restarts); ++a) {
     Vec y_start = y0;
@@ -839,12 +895,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     result.attempts = a + 1;
     if (result.ok()) break;
     if (deadline.expired()) break;
-    const bool retryable =
-        result.status == SolveStatus::kMaxIter ||
-        result.status == SolveStatus::kNumericalError ||
-        (result.status == SolveStatus::kInfeasible &&
-         result.max_violation < 0.25);
-    if (!retryable) break;
+    if (result.status != SolveStatus::kNumericalError) break;
   }
   record_solve(solve_span, result, total_stages, last_gap);
   return result;

@@ -5,15 +5,20 @@
 /// convex program via y = log x (posynomials become log-sum-exp functions,
 /// paper refs [3][6][7]) and solved with a two-phase barrier Newton method:
 ///   phase I  — minimize a smoothed max of constraint functions until a
-///              strictly feasible point is found;
+///              strictly feasible point is found or a centered stage
+///              certifies that none exists;
 ///   phase II — standard log-barrier path following with damped Newton.
+///
+/// The Newton line search accepts only steps that strictly decrease the
+/// barrier value; a stage that cannot make one ends as stationary.
 ///
 /// Guardrails: the solver never throws and never returns non-finite
 /// variable values. Malformed problems, NaN/Inf surfacing mid-solve,
 /// iteration exhaustion and wall-clock overrun all come back as a
-/// SolveStatus plus a structured util::Status diagnostic, and failed
-/// attempts are retried from deterministically perturbed starting points
-/// (multi-start) before giving up.
+/// SolveStatus plus a structured util::Status diagnostic. Only transient
+/// numerical faults are retried from a perturbed starting point: both
+/// phases are convex, so a new start changes neither the optimum nor the
+/// feasibility verdict.
 
 #include <cstddef>
 #include <string>
@@ -40,8 +45,12 @@ struct SolverOptions {
   /// Wall-clock budget for one solve() call including restarts (ms);
   /// < 0 disables the deadline. Checked once per Newton iteration.
   double deadline_ms = -1.0;
-  /// Extra solve attempts from perturbed initial points after a failed
-  /// first attempt (kMaxIter, kNumericalError, or marginal kInfeasible).
+  /// Extra solve attempts from deterministically perturbed initial points
+  /// after an attempt that ended kNumericalError (NaN/Inf in a Newton step
+  /// or an unsolvable Newton system). No other status is retried: phase I
+  /// and phase II are convex, so a new start changes neither the optimum
+  /// nor the feasibility verdict (and on the paper workloads it never
+  /// turned a kMaxIter solve into a converged one).
   int restarts = 1;
   /// Seed of the deterministic restart perturbations.
   uint64_t restart_seed = 0x5eed5eedULL;
@@ -59,7 +68,7 @@ struct SolverOptions {
 
 enum class SolveStatus {
   kOptimal,         ///< converged to tolerance
-  kInfeasible,      ///< phase I could not find a strictly feasible point
+  kInfeasible,      ///< phase I certified or exhausted without a feasible point
   kMaxIter,         ///< iteration limit hit; best point returned
   kTimeout,         ///< deadline_ms exceeded; best point returned
   kNumericalError,  ///< NaN/Inf in the problem data or a Newton step
@@ -83,6 +92,17 @@ struct ConstraintDiagnostics {
   bool binding = false;   ///< lhs within binding_tol of 1 at an optimum
 };
 
+/// Why the Newton loop of one barrier stage stopped.
+enum class StageExit {
+  kDecrement,  ///< Newton decrement test met: the iterate is centered
+  kStall,      ///< line search found no strictly decreasing step
+  kFeasible,   ///< phase I reached a strictly feasible point mid-stage
+  kIterLimit,  ///< max_newton_iters exhausted
+  kFailed,     ///< non-finite value, unsolvable Newton system or deadline
+};
+
+const char* to_string(StageExit exit);
+
 /// One barrier stage of the convergence trace. Phase I stages minimize the
 /// feasibility auxiliary (gap stays < 0); phase II stages report the
 /// duality-gap estimate m_total / t after the stage's Newton solve.
@@ -91,8 +111,9 @@ struct StageTrace {
   bool phase1 = false;
   double t = 0.0;         ///< barrier weight for the stage
   int newton_iters = 0;
-  bool converged = false; ///< Newton decrement criterion met
+  bool converged = false; ///< decrement, stall or feasible exit
   double gap = -1.0;      ///< duality-gap estimate; < 0 in phase I
+  StageExit exit = StageExit::kDecrement;
 };
 
 /// Introspection record exported by every solve without perturbing it: all

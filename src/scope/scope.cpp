@@ -389,6 +389,15 @@ std::string render_text(const ScopeReport& r) {
         "\nSolver: %zu barrier stages (%zu phase-I), final t %.3g, "
         "gap %.3g\n",
         r.trace.size(), p1, last.t, last.gap);
+    // Stages that did not end on the Newton decrement test are the ones
+    // that explain a slow or non-converged solve.
+    for (const auto& t : r.trace) {
+      if (t.exit == gp::StageExit::kDecrement) continue;
+      out << util::strfmt("  stage %d (%s, t %.3g): %d Newton iters, "
+                          "exit %s\n",
+                          t.stage, t.phase1 ? "phase I" : "phase II", t.t,
+                          t.newton_iters, gp::to_string(t.exit));
+    }
   }
   if (!r.respec.empty()) {
     out << "Respec trace (model spec -> measured):\n";
@@ -515,6 +524,7 @@ std::string render_json(const ScopeReport& r) {
            ", \"t\": " + jnum(t.t) +
            ", \"newton_iters\": " + jnum(t.newton_iters) +
            ", \"converged\": " + (t.converged ? "true" : "false") +
+           ", \"exit\": \"" + gp::to_string(t.exit) + "\"" +
            ", \"gap\": " + jnum(t.gap) + "}";
   }
   out += "],\n";

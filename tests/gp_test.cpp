@@ -16,6 +16,33 @@ using posy::Posynomial;
 using posy::VarId;
 using posy::VarTable;
 
+/// Phase-I stages the barrier schedule runs when no certificate stops it:
+/// it ends once (constraint count) / t falls below the tolerance.
+int uncertified_phase1_stages(size_t constraints, const SolverOptions& o) {
+  int stages = 1;
+  for (double t = 1.0; static_cast<double>(constraints) / t >= o.tolerance;
+       t *= o.barrier_mu)
+    ++stages;
+  return stages;
+}
+
+int phase1_stages(const GpResult& r) {
+  int stages = 0;
+  for (const auto& st : r.diag.trace) stages += st.phase1 ? 1 : 0;
+  return stages;
+}
+
+/// A certified verdict: one attempt, a phase I cut short of the full
+/// schedule, ending on a centered (decrement-test) stage.
+void expect_certified_infeasible(const GpResult& r, size_t constraints) {
+  EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_NE(r.message.find("certified"), std::string::npos) << r.message;
+  EXPECT_LT(phase1_stages(r), uncertified_phase1_stages(constraints, {}));
+  ASSERT_FALSE(r.diag.trace.empty());
+  EXPECT_EQ(r.diag.trace.back().exit, StageExit::kDecrement);
+}
+
 TEST(GpProblemTest, DropsTrivialAndRejectsImpossibleConstants) {
   VarTable vars;
   vars.add("x");
@@ -65,7 +92,7 @@ TEST(GpSolverTest, DetectsInfeasible) {
   p.add_constraint(Posynomial(Monomial(2.0) * Monomial::variable(x, -1)),
                    "x>=2");
   const GpResult r = GpSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+  expect_certified_infeasible(r, 2);
 }
 
 TEST(GpSolverTest, BoundsInfeasibilityViaConstraint) {
@@ -77,7 +104,26 @@ TEST(GpSolverTest, BoundsInfeasibilityViaConstraint) {
   p.add_constraint(Posynomial(Monomial(5.0) * Monomial::variable(x, -1)),
                    "x>=5");
   const GpResult r = GpSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+  expect_certified_infeasible(r, 1);
+}
+
+TEST(GpSolverTest, NarrowFeasibleBandIsNeverCertified) {
+  // 2 <= x <= 2 * (1 + 1e-6): feasible with 1e-6 relative slack, so the
+  // certificate must never fire and the solve must reach the optimum x = 2.
+  VarTable vars;
+  const VarId x = vars.add("x", 1e-3, 1e3);
+  GpProblem p(vars);
+  p.set_objective(Posynomial::variable(x));
+  p.add_constraint(Posynomial(Monomial(2.0) * Monomial::variable(x, -1)),
+                   "x>=2");
+  p.add_constraint(
+      Posynomial(Monomial(1.0 / (2.0 * (1.0 + 1e-6))) * Monomial::variable(x)),
+      "x<=2(1+1e-6)");
+  const GpResult r = GpSolver().solve(p);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal) << r.message;
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_NEAR(r.x[0], 2.0, 1e-5);
+  EXPECT_LE(r.max_violation, 0.0);
 }
 
 TEST(GpSolverTest, EqualityPinnedOptimum) {

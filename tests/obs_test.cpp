@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/sizer.h"
+#include "gp/solver.h"
 #include "macros/registry.h"
 #include "models/fitter.h"
 #include "obs/obs.h"
@@ -449,6 +450,23 @@ TEST_F(ObsTest, SizingRunEmitsPipelineTelemetry) {
   EXPECT_GE(names["timing.extract"], 1);
   EXPECT_GE(names["gp.solve"], 1);
   EXPECT_GE(names["sizer.verify"], 1);
+}
+
+TEST_F(ObsTest, CertifiedInfeasibilityIsCounted) {
+  // x in [1, 2] with x >= 5: phase I proves infeasibility from a centered
+  // stage, and the telemetry says so apart from the status count.
+  posy::VarTable vars;
+  const posy::VarId x = vars.add("x", 1.0, 2.0);
+  gp::GpProblem p(vars);
+  p.set_objective(posy::Posynomial::variable(x));
+  p.add_constraint(posy::Posynomial(posy::Monomial(5.0) *
+                                    posy::Monomial::variable(x, -1)),
+                   "x>=5");
+  const gp::GpResult r = gp::GpSolver().solve(p);
+  ASSERT_EQ(r.status, gp::SolveStatus::kInfeasible) << r.message;
+  auto& tel = Telemetry::instance();
+  EXPECT_DOUBLE_EQ(tel.counter("gp.solve.infeasible_certified"), 1.0);
+  EXPECT_DOUBLE_EQ(tel.counter("gp.solve.status.infeasible"), 1.0);
 }
 
 }  // namespace

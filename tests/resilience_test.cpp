@@ -12,8 +12,10 @@
 #include <map>
 
 #include "core/advisor.h"
+#include "core/experiment.h"
 #include "gp/solver.h"
 #include "helpers.h"
+#include "macros/registry.h"
 #include "models/fitter.h"
 #include "util/fault.h"
 
@@ -170,6 +172,9 @@ TEST(GpResilienceTest, ForcedIterationExhaustionIsMaxIter) {
   const GpResult r = GpSolver().solve(p);
   EXPECT_EQ(r.status, SolveStatus::kMaxIter);
   EXPECT_EQ(r.diagnostics.reason, FailureReason::kMaxIter);
+  // The problem is convex: a jittered restart would exhaust the same
+  // budget, so an exhausted solve is not retried.
+  EXPECT_EQ(r.attempts, 1);
   expect_finite(r.x);
 }
 
@@ -196,6 +201,41 @@ TEST(GpResilienceTest, MultiStartRecoversFromTransientFault) {
   ASSERT_TRUE(r.ok()) << r.message;
   EXPECT_GE(r.attempts, 2);
   EXPECT_NEAR(r.x[0], 3.0, 0.05);
+}
+
+TEST(GpResilienceTest, HighWeightStageDoesNotExhaustNewtonBudget) {
+  // Regression: the first GP of Table 1's 4:1 x 8-bit tri-state mux at
+  // 40 fF (4 variables, 184 constraints) spent a whole 400-iteration Newton
+  // stage at t ~ 3.4e7 on line-search steps that left the barrier value
+  // unchanged, so the solve ended kMaxIter.
+  core::MacroSpec spec;
+  spec.type = "mux";
+  spec.n = 4;
+  spec.params["bits"] = 8;
+  spec.load_ff = 40.0;
+  const auto* entry = macros::builtin_database().find("mux", "tristate");
+  ASSERT_NE(entry, nullptr);
+  const auto nl = entry->generate(spec);
+  core::IsoDelayOptions opt;
+  opt.sizer.max_respec_iters = 1;
+  opt.sizer.keep_solve_snapshot = true;
+  opt.sizer.allow_relaxed_retry = false;
+  opt.sizer.allow_baseline_fallback = false;
+  const auto cmp = core::run_iso_delay(nl, tech::default_tech(),
+                                       models::default_library(), opt);
+  ASSERT_NE(cmp.smart.snapshot, nullptr) << cmp.smart.message;
+  const auto& snap = *cmp.smart.snapshot;
+  ASSERT_EQ(snap.gen.problem->vars().size(), 4u);
+  ASSERT_EQ(snap.gen.problem->constraints().size(), 184u);
+  const GpResult& r = snap.gp;
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.status, SolveStatus::kOptimal) << r.message;
+  ASSERT_FALSE(r.diag.trace.empty());
+  for (const auto& st : r.diag.trace) {
+    EXPECT_LT(st.newton_iters, gp::SolverOptions{}.max_newton_iters)
+        << "stage " << st.stage << " at t " << st.t;
+    EXPECT_NE(st.exit, gp::StageExit::kIterLimit) << "stage " << st.stage;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -264,6 +264,14 @@ TEST_F(ScopeReportTest, DominoReportJsonRoundTrips) {
 
   EXPECT_FALSE(root.find("sensitivity")->array.empty());
   EXPECT_FALSE(root.find("solver_trace")->array.empty());
+  // Every stage says how its Newton loop ended.
+  for (const auto& st : root.find("solver_trace")->array) {
+    const auto* exit = st.find("exit");
+    ASSERT_NE(exit, nullptr);
+    EXPECT_TRUE(exit->str == "decrement" || exit->str == "stall" ||
+                exit->str == "feasible" || exit->str == "iter_limit")
+        << exit->str;
+  }
   EXPECT_FALSE(root.find("respec")->array.empty());
 }
 

@@ -227,8 +227,11 @@ TEST_F(ServeResilienceTest, MidSolveDisconnectReclaimsSlot) {
   opt.workers = 1;
   start(opt);
   {
-    // A tight-spec solve takes far longer than the 100ms read budget:
-    // the client gives up and closes while the server is still solving.
+    // The worker stall (200ms) plus the solve outlast the 100ms read
+    // budget: the client gives up and closes while the server is still
+    // working. The stall, not the solver's speed, sets that duration.
+    util::FaultScope stall(util::FaultClass::kServeWorkerStall,
+                           "serve.worker", 200.0, 0, 1);
     ClientOptions copt = client_options(0);
     copt.io_timeout_ms = 100.0;
     Client client(copt);
@@ -388,6 +391,10 @@ TEST_F(ServeResilienceTest, DrainingServerRejectsNewSolvesTyped) {
   Frame late_reply;
   ASSERT_TRUE(late.call(FrameType::kPing, "", -1.0, &late_reply).ok());
 
+  // The worker stall (200ms) keeps the busy request in flight while the
+  // drain starts, however fast the solve itself is.
+  util::FaultScope stall(util::FaultClass::kServeWorkerStall, "serve.worker",
+                         200.0, 0, 1);
   Client busy(client_options(0));
   Frame busy_reply;
   std::thread solver([&] {
