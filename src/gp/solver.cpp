@@ -206,7 +206,16 @@ struct BarrierProblem {
   const Func* objective = nullptr;  ///< minimized (times barrier weight t)
   const Vec* ylo = nullptr;         ///< strict box bounds in log domain
   const Vec* yhi = nullptr;
+  /// Phase I: the last variable is the auxiliary s, the objective is s
+  /// and every constraint reads F_j(y) - s.
+  bool aux_last = false;
 };
+
+/// Fraction-to-the-boundary rule (Wächter & Biegler, IPOPT, 2006): a
+/// line-search trial may shrink no barrier slack below this fraction of its
+/// value at the current iterate. A fixed algorithm constant, like the
+/// Armijo 1e-4.
+constexpr double kSlackFloor = 0.3;
 
 /// Scratch buffers reused across barrier evaluations.
 struct BarrierScratch {
@@ -214,6 +223,16 @@ struct BarrierScratch {
   std::vector<double> h_local;
   std::vector<double> z;
   std::vector<double> g_lse;
+  /// Barrier slacks at the current iterate, recorded by the derivative
+  /// pass: -F_j for every constraint, then the lower and upper box side of
+  /// every variable. The value-only (line-search trial) pass rejects a
+  /// point that leaves any of them below kSlackFloor times this value.
+  std::vector<double> slack;
+  /// Constraint slacks -F_j of the last value-only pass (valid when it
+  /// returned a finite value).
+  std::vector<double> trial_slack;
+  /// Set by a value-only pass that the slack floor rejected.
+  bool floor_rejected = false;
 };
 
 /// Wall-clock budget for one solve() call (shared across restarts).
@@ -240,7 +259,10 @@ struct HessSink {
 ///   phi(y) = t * f0(y) - sum_j log(-F_j(y)) - sum_i log box slacks
 /// Returns +inf when outside the domain. grad/hess optional; local
 /// derivatives are scattered per function, so cost scales with the total
-/// constraint support, not with constraints x n^2.
+/// constraint support, not with constraints x n^2. A derivative pass
+/// records the slacks of y in `scratch`; a value-only pass also returns
+/// +inf, and sets `scratch.floor_rejected`, when a slack of y falls below
+/// kSlackFloor times the recorded one.
 double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
                     Vec* grad, HessSink hess, BarrierScratch& scratch) {
   const size_t n = y.size();
@@ -278,6 +300,24 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
   };
 
   const bool derivs = grad != nullptr || static_cast<bool>(hess);
+  const size_t m = bp.constraints->size();
+  if (derivs) {
+    scratch.slack.resize(m + 2 * n);
+  } else {
+    scratch.trial_slack.resize(m);
+    scratch.floor_rejected = false;
+  }
+  // Records slack k (derivative pass) or checks it against its floor.
+  auto floor_ok = [&](size_t k, double u) {
+    if (derivs) {
+      scratch.slack[k] = u;
+      return true;
+    }
+    if (k < m) scratch.trial_slack[k] = u;
+    if (u >= kSlackFloor * scratch.slack[k]) return true;
+    scratch.floor_rejected = true;
+    return false;
+  };
   {
     const double f0 =
         derivs ? bp.objective->eval_local(y, scratch.g_local,
@@ -288,13 +328,14 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
     if (derivs) scatter(*bp.objective, t, t, 0.0);
   }
 
-  for (const auto& fj : *bp.constraints) {
+  for (size_t j = 0; j < m; ++j) {
+    const Func& fj = (*bp.constraints)[j];
     const double v =
         derivs ? fj.eval_local(y, scratch.g_local, scratch.h_local,
                                scratch.z, scratch.g_lse)
                : fj.value_at(y, scratch.z);
     const double u = -v;  // slack, must stay positive
-    if (u <= 0.0 || !std::isfinite(u))
+    if (u <= 0.0 || !std::isfinite(u) || !floor_ok(j, u))
       return std::numeric_limits<double>::infinity();
     phi += -std::log(u);
     // d(-log(-F)) = F'/u ; d2 = F''/u + F' F'^T / u^2.
@@ -304,12 +345,45 @@ double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
   for (size_t i = 0; i < n; ++i) {
     const double a = y[i] - (*bp.ylo)[i];
     const double b = (*bp.yhi)[i] - y[i];
-    if (a <= 0.0 || b <= 0.0) return std::numeric_limits<double>::infinity();
+    if (a <= 0.0 || b <= 0.0 || !floor_ok(m + 2 * i, a) ||
+        !floor_ok(m + 2 * i + 1, b))
+      return std::numeric_limits<double>::infinity();
     phi += -std::log(a) - std::log(b);
     if (grad) (*grad)[i] += -1.0 / a + 1.0 / b;
     if (hess) hess.add(i, i, 1.0 / (a * a) + 1.0 / (b * b));
   }
   return phi;
+}
+
+/// Phase I only: minimizes phi exactly over the auxiliary s = y.back(),
+/// the other variables fixed, given the constraint slacks at y in
+/// `scratch.trial_slack`. Along s, phi is the 1-D self-concordant
+///   t s - sum_j log(u_j + d) - log(s - lo + d) - log(hi - s - d)
+/// of the shift d, so damped Newton steps (1 / (1 + lambda) while lambda >
+/// 1/4) stay in its domain and never raise phi. Without this, a phase-I
+/// stage can settle with some u_j far below 1/t (5e-9 at t = 1e5), where
+/// the Newton step's curvature error along the active constraint cancels
+/// its recovery of u_j, and crawl through its whole iteration budget even
+/// under the slack floor; at the 1-D optimum sum_j 1/u_j ~ t, which lifts
+/// such a u_j back to ~1/t.
+void center_aux(const BarrierProblem& bp, double t, Vec& y,
+                const BarrierScratch& scratch) {
+  const size_t k = y.size() - 1;
+  const double a = y[k] - (*bp.ylo)[k];
+  const double b = (*bp.yhi)[k] - y[k];
+  double d = 0.0;
+  for (int it = 0; it < 50; ++it) {
+    double g = t - 1.0 / (a + d) + 1.0 / (b - d);
+    double h = 1.0 / ((a + d) * (a + d)) + 1.0 / ((b - d) * (b - d));
+    for (const double u : scratch.trial_slack) {
+      g -= 1.0 / (u + d);
+      h += 1.0 / ((u + d) * (u + d));
+    }
+    const double lambda = std::fabs(g) / std::sqrt(h);
+    if (!std::isfinite(lambda) || lambda * lambda < 1e-12) break;
+    d -= (g / h) / (lambda > 0.25 ? 1.0 + lambda : 1.0);
+  }
+  if (std::isfinite(d)) y[k] += d;
 }
 
 /// How a Newton minimization ended. kNonFinite covers both NaN/Inf in the
@@ -318,6 +392,8 @@ enum class NewtonFailure { kNone, kNonFinite, kTimeout };
 
 struct NewtonOutcome {
   int iterations = 0;
+  int ls_trials = 0;         ///< line-search trials (barrier evaluations)
+  int ls_floor_rejects = 0;  ///< trials rejected by the slack floor
   StageExit exit = StageExit::kIterLimit;
   NewtonFailure failure = NewtonFailure::kNone;
 
@@ -338,6 +414,12 @@ struct NewtonOutcome {
 /// error of phi, and a non-strict test then accepts steps that change
 /// nothing, burning the stage's whole iteration budget; with the strict
 /// test such a stage ends at once as a line-search stall.
+///
+/// A trial that leaves some barrier slack below kSlackFloor times its
+/// current value is rejected like an out-of-domain one. Armijo alone lets
+/// one full step right after a t increase drive a slack from 0.33 to 3e-8;
+/// Newton then crawls against a ~1e15 rank-one Hessian term for the rest
+/// of the stage, far from the central path.
 NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
                               const SolverOptions& opt,
                               const Deadline& deadline,
@@ -443,9 +525,12 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
       util::axpy(alpha, step, trial);
       const double phi_trial =
           barrier_eval(bp, t, trial, nullptr, HessSink{}, scratch);
+      ++out.ls_trials;
+      if (scratch.floor_rejected) ++out.ls_floor_rejects;
       if (std::isfinite(phi_trial) && phi_trial < phi &&
           phi_trial <= phi - 1e-4 * alpha * decrement2) {
         std::swap(y, trial);
+        if (bp.aux_last) center_aux(bp, t, y, scratch);
         accepted = true;
         break;
       }
@@ -538,15 +623,21 @@ GpResult failed_result(const GpProblem& problem, SolveStatus status,
   return result;
 }
 
-/// Per-solve telemetry: status/iteration counters, restart count, barrier
-/// stage count and the final duality-gap estimate (< 0 = never reached
-/// phase II). One relaxed atomic load when telemetry is disabled.
+/// Per-solve telemetry: status/iteration counters, per-phase stage-exit
+/// counters of the accepted attempt (`gp.stage.phase1.iter_limit`, ...),
+/// restart count, barrier stage count and the final duality-gap estimate
+/// (< 0 = never reached phase II). One relaxed atomic load when telemetry
+/// is disabled.
 void record_solve(obs::Span& span, const GpResult& result, int barrier_stages,
                   double duality_gap) {
   auto& tel = obs::Telemetry::instance();
   if (!tel.enabled()) return;
   tel.counter_add("gp.solve.calls");
   tel.counter_add(std::string("gp.solve.status.") + to_string(result.status));
+  for (const auto& st : result.diag.trace)
+    tel.counter_add(std::string(st.phase1 ? "gp.stage.phase1."
+                                          : "gp.stage.phase2.") +
+                    to_string(st.exit));
   tel.hist_record("gp.solve.newton_iters", result.newton_iterations);
   tel.hist_record("gp.solve.restarts", result.attempts - 1);
   tel.hist_record("gp.solve.barrier_stages", barrier_stages);
@@ -727,7 +818,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       obj_s.linear_vars.push_back(static_cast<int>(n));
       obj_s.linear_coef.push_back(1.0);
       obj_s.finish();
-      BarrierProblem p1{&aug, &obj_s, &ylo1, &yhi1};
+      BarrierProblem p1{&aug, &obj_s, &ylo1, &yhi1, /*aux_last=*/true};
 
       Vec ys = y;
       ys.push_back(s0);
@@ -755,7 +846,8 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
         total_newton += outcome.iterations;
         trace.push_back({static_cast<int>(trace.size()), true, t,
                          outcome.iterations, outcome.converged(), -1.0,
-                         outcome.exit});
+                         outcome.exit, outcome.ls_trials,
+                         outcome.ls_floor_rejects});
         if (outcome.failure != NewtonFailure::kNone) {
           p1_failure = outcome.failure;
           break;
@@ -822,7 +914,8 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       t_final = t;
       trace.push_back({static_cast<int>(trace.size()), false, t,
                        outcome.iterations, outcome.converged(), m_total / t,
-                       outcome.exit});
+                       outcome.exit, outcome.ls_trials,
+                       outcome.ls_floor_rejects});
       if (outcome.failure == NewtonFailure::kTimeout) {
         finish(SolveStatus::kTimeout, "deadline exceeded in phase II");
         return;

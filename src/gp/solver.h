@@ -10,7 +10,13 @@
 ///   phase II — standard log-barrier path following with damped Newton.
 ///
 /// The Newton line search accepts only steps that strictly decrease the
-/// barrier value; a stage that cannot make one ends as stationary.
+/// barrier value; a stage that cannot make one ends as stationary. It also
+/// rejects a step that shrinks any barrier slack (a constraint's -F_j or a
+/// box side) below 0.3x its value at the current iterate, the interior-point
+/// fraction-to-the-boundary rule: it keeps the iterates near the central
+/// path, where the stage ends on the Newton decrement test. Phase I also
+/// minimizes exactly over its auxiliary variable after every step, which
+/// lifts a slack that slid far below 1/t over many steps.
 ///
 /// Guardrails: the solver never throws and never returns non-finite
 /// variable values. Malformed problems, NaN/Inf surfacing mid-solve,
@@ -114,6 +120,8 @@ struct StageTrace {
   bool converged = false; ///< decrement, stall or feasible exit
   double gap = -1.0;      ///< duality-gap estimate; < 0 in phase I
   StageExit exit = StageExit::kDecrement;
+  int ls_trials = 0;         ///< line-search trials over the stage
+  int ls_floor_rejects = 0;  ///< of those, rejected by the slack floor
 };
 
 /// Introspection record exported by every solve without perturbing it: all

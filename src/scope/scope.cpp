@@ -394,9 +394,11 @@ std::string render_text(const ScopeReport& r) {
     for (const auto& t : r.trace) {
       if (t.exit == gp::StageExit::kDecrement) continue;
       out << util::strfmt("  stage %d (%s, t %.3g): %d Newton iters, "
-                          "exit %s\n",
+                          "%d line-search trials (%d slack-floor "
+                          "rejects), exit %s\n",
                           t.stage, t.phase1 ? "phase I" : "phase II", t.t,
-                          t.newton_iters, gp::to_string(t.exit));
+                          t.newton_iters, t.ls_trials, t.ls_floor_rejects,
+                          gp::to_string(t.exit));
     }
   }
   if (!r.respec.empty()) {
@@ -523,6 +525,8 @@ std::string render_json(const ScopeReport& r) {
            ", \"phase1\": " + (t.phase1 ? "true" : "false") +
            ", \"t\": " + jnum(t.t) +
            ", \"newton_iters\": " + jnum(t.newton_iters) +
+           ", \"ls_trials\": " + jnum(t.ls_trials) +
+           ", \"ls_floor_rejects\": " + jnum(t.ls_floor_rejects) +
            ", \"converged\": " + (t.converged ? "true" : "false") +
            ", \"exit\": \"" + gp::to_string(t.exit) + "\"" +
            ", \"gap\": " + jnum(t.gap) + "}";

@@ -17,6 +17,7 @@
 #include "helpers.h"
 #include "macros/registry.h"
 #include "models/fitter.h"
+#include "obs/obs.h"
 #include "util/fault.h"
 
 namespace smart {
@@ -236,6 +237,58 @@ TEST(GpResilienceTest, HighWeightStageDoesNotExhaustNewtonBudget) {
         << "stage " << st.stage << " at t " << st.t;
     EXPECT_NE(st.exit, gp::StageExit::kIterLimit) << "stage " << st.stage;
   }
+}
+
+TEST(GpResilienceTest, SplitDominoMuxConvergesWithoutPhaseOneIterLimit) {
+  // Regression: Table 1's 16:1 x 16-bit split-domino mux at 16 fF (power
+  // cost) never converged. Armijo-accepted full steps collapsed a phase-I
+  // slack to ~1e-8, so phase-I stages ran out their Newton budget and the
+  // respec loop alternated between uncertified infeasible and kMaxIter
+  // solves. The slack floor of the line search keeps phase I centered.
+  core::MacroSpec spec;
+  spec.type = "mux";
+  spec.n = 16;
+  spec.params["bits"] = 16;
+  spec.load_ff = 16.0;
+  const auto* entry = macros::builtin_database().find("mux", "domino_split");
+  ASSERT_NE(entry, nullptr);
+  const auto nl = entry->generate(spec);
+  core::IsoDelayOptions opt;
+  opt.sizer.cost = core::CostMetric::kPower;
+  auto& tel = obs::Telemetry::instance();
+  tel.reset();
+  tel.enable(true);
+  const auto cmp = core::run_iso_delay(nl, tech::default_tech(),
+                                       models::default_library(), opt);
+  tel.enable(false);
+  EXPECT_TRUE(cmp.ok) << cmp.smart.message;
+  EXPECT_EQ(cmp.smart.rung, SizingRung::kGp);
+  EXPECT_EQ(cmp.smart.message, "converged");
+  EXPECT_GT(tel.counter("gp.solve.calls"), 0.0);
+  EXPECT_GT(tel.counter("gp.stage.phase1.decrement") +
+                tel.counter("gp.stage.phase1.feasible"),
+            0.0)
+      << "no phase-I stage ran";
+  EXPECT_EQ(tel.counter("gp.stage.phase1.iter_limit"), 0.0);
+  tel.reset();
+}
+
+TEST(GpResilienceTest, DecoderRespecSolvesNeverEndMaxIter) {
+  // Regression: the Fig 5(c) 6:64 decoder at 20 fF had a warm-started
+  // respec solve whose phase-II stages all hit the Newton budget (kMaxIter).
+  core::MacroSpec spec;
+  spec.type = "decoder";
+  spec.n = 6;
+  spec.load_ff = 20.0;
+  const auto* entry = macros::builtin_database().find("decoder", "predecode");
+  ASSERT_NE(entry, nullptr);
+  const auto nl = entry->generate(spec);
+  const auto cmp = core::run_iso_delay(nl, tech::default_tech(),
+                                       models::default_library());
+  EXPECT_TRUE(cmp.ok) << cmp.smart.message;
+  ASSERT_FALSE(cmp.smart.respec_trace.empty());
+  for (const auto& it : cmp.smart.respec_trace)
+    EXPECT_NE(it.gp_status, SolveStatus::kMaxIter) << "respec iter " << it.iter;
 }
 
 // ---------------------------------------------------------------------------

@@ -271,6 +271,14 @@ TEST_F(ScopeReportTest, DominoReportJsonRoundTrips) {
     EXPECT_TRUE(exit->str == "decrement" || exit->str == "stall" ||
                 exit->str == "feasible" || exit->str == "iter_limit")
         << exit->str;
+    // ... and how many line-search trials it spent, of which the slack
+    // floor rejected at most all.
+    const auto* trials = st.find("ls_trials");
+    const auto* rejects = st.find("ls_floor_rejects");
+    ASSERT_NE(trials, nullptr);
+    ASSERT_NE(rejects, nullptr);
+    EXPECT_GE(rejects->number, 0.0);
+    EXPECT_LE(rejects->number, trials->number);
   }
   EXPECT_FALSE(root.find("respec")->array.empty());
 }
