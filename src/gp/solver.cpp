@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <functional>
 #include <limits>
 
@@ -24,139 +25,55 @@ using util::Matrix;
 using util::Status;
 using util::Vec;
 
-/// A compiled convex function in the log domain:
-///   F(y) = log sum_k exp(logc_k + a_k . y)  +  linear . y + linear_const
-/// The optional linear part supports the phase-I auxiliary variable
-/// (F_j(y) - s) without special-casing the Newton machinery.
-///
-/// Evaluation is support-local: gradients and Hessians are produced on the
-/// function's own variable support and scattered by the caller, so the
-/// per-constraint cost is O(|support|^2), not O(n^2).
-struct Func {
-  struct Term {
-    double logc = 0.0;
-    // (support-local index, exponent) pairs
-    std::vector<std::pair<int, double>> factors;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// The log-sum-exp table of one solve, built once from the posynomials.
+/// Function f < m is constraint f, function m the objective:
+///   F_f(y) = log sum_{k in terms(f)} exp(logc_k + a_k . y).
+/// Flat arrays instead of per-function objects: term offsets per function,
+/// factor offsets per term, every factor as (global variable, slot of that
+/// variable in its function's support, exponent), and the sorted supports.
+/// Factors of a term are strictly increasing in variable (posy::Monomial
+/// keeps them so), which the lower-triangle Hessian assembly relies on.
+struct LseTable {
+  struct Factor {
+    int var = 0;
+    int slot = 0;
+    double exp = 0.0;
   };
-  std::vector<Term> terms;
-  std::vector<int> support;        ///< global var ids touched by LSE part
-  std::vector<int> linear_vars;    ///< global var ids of linear part
-  std::vector<double> linear_coef;
-  double linear_const = 0.0;
-  /// union of support and linear_vars; gradient lives on these entries.
-  std::vector<int> full_support;
+  std::vector<size_t> fn_term{0};  ///< f owns terms [fn_term[f], fn_term[f+1])
+  std::vector<size_t> fn_sup{0};   ///< f's support is sup[fn_sup[f] ...)
+  std::vector<int> sup;
+  std::vector<double> logc;          ///< per term
+  std::vector<size_t> term_fac{0};   ///< k owns fac[term_fac[k] ...)
+  std::vector<Factor> fac;
 
-  void finish() {
-    full_support = support;
-    for (int v : linear_vars)
-      if (std::find(full_support.begin(), full_support.end(), v) ==
-          full_support.end())
-        full_support.push_back(v);
-  }
-
-  /// Value only; `scratch_z` is a caller-owned buffer reused across calls
-  /// (the per-call vector churn dominated small-problem solve profiles).
-  double value_at(const Vec& y, std::vector<double>& scratch_z) const {
-    double value = linear_const;
-    for (size_t i = 0; i < linear_vars.size(); ++i)
-      value += linear_coef[i] * y[static_cast<size_t>(linear_vars[i])];
-    if (terms.empty()) return value;
-    double zmax = -std::numeric_limits<double>::infinity();
-    scratch_z.resize(terms.size());
-    for (size_t k = 0; k < terms.size(); ++k) {
-      double zk = terms[k].logc;
-      for (const auto& [li, e] : terms[k].factors)
-        zk += e * y[static_cast<size_t>(support[static_cast<size_t>(li)])];
-      scratch_z[k] = zk;
-      zmax = std::max(zmax, zk);
-    }
-    const double denom =
-        util::sum_exp_shifted(scratch_z.data(), zmax, terms.size());
-    return value + zmax + std::log(denom);
-  }
-
-  /// Value plus local derivatives. g_local is indexed by full_support
-  /// (gradient), h_local row-major |support| x |support| (LSE Hessian; the
-  /// linear part has none). Buffers are resized here; callers reuse them.
-  double eval_local(const Vec& y, std::vector<double>& g_local,
-                    std::vector<double>& h_local,
-                    std::vector<double>& scratch_z,
-                    std::vector<double>& scratch_g) const {
-    g_local.assign(full_support.size(), 0.0);
-    double value = linear_const;
-    for (size_t i = 0; i < linear_vars.size(); ++i) {
-      value += linear_coef[i] * y[static_cast<size_t>(linear_vars[i])];
-      // linear vars are appended after support in full_support order; find
-      // their slot (few entries, linear scan is fine).
-      for (size_t fi = 0; fi < full_support.size(); ++fi)
-        if (full_support[fi] == linear_vars[i]) {
-          g_local[fi] += linear_coef[i];
-          break;
-        }
-    }
-    const size_t sz = support.size();
-    h_local.assign(sz * sz, 0.0);
-    if (terms.empty()) return value;
-
-    scratch_z.resize(terms.size());
-    double zmax = -std::numeric_limits<double>::infinity();
-    for (size_t k = 0; k < terms.size(); ++k) {
-      double zk = terms[k].logc;
-      for (const auto& [li, e] : terms[k].factors)
-        zk += e * y[static_cast<size_t>(support[static_cast<size_t>(li)])];
-      scratch_z[k] = zk;
-      zmax = std::max(zmax, zk);
-    }
-    const double denom = util::exp_shifted(scratch_z.data(), zmax,
-                                           scratch_z.data(), terms.size());
-    value += zmax + std::log(denom);
-
-    // softmax weights p_k; gradient over support slots [0, sz).
-    scratch_g.assign(sz, 0.0);
-    std::vector<double>& g_lse = scratch_g;
-    for (size_t k = 0; k < terms.size(); ++k) {
-      const double pk = scratch_z[k] / denom;
-      for (const auto& [li, e] : terms[k].factors) {
-        g_lse[static_cast<size_t>(li)] += pk * e;
-        for (const auto& [lj, ej] : terms[k].factors)
-          h_local[static_cast<size_t>(li) * sz + static_cast<size_t>(lj)] +=
-              pk * e * ej;
+  void add(const posy::Posynomial& p) {
+    SMART_CHECK(!p.terms().empty(), "GP functions must have terms");
+    const auto s0 = static_cast<std::ptrdiff_t>(sup.size());
+    for (const auto& t : p.terms())
+      for (const auto& fc : t.factors()) sup.push_back(fc.var);
+    std::sort(sup.begin() + s0, sup.end());
+    sup.erase(std::unique(sup.begin() + s0, sup.end()), sup.end());
+    for (const auto& t : p.terms()) {
+      SMART_CHECK(t.coeff() > 0.0, "GP terms must have positive coefficients");
+      logc.push_back(std::log(t.coeff()));
+      int prev = -1;
+      for (const auto& fc : t.factors()) {
+        SMART_CHECK(fc.var > prev, "monomial factors must be sorted");
+        prev = fc.var;
+        const auto slot =
+            std::lower_bound(sup.begin() + s0, sup.end(), fc.var) -
+            (sup.begin() + s0);
+        fac.push_back({fc.var, static_cast<int>(slot), fc.exp});
       }
+      term_fac.push_back(fac.size());
     }
-    for (size_t i = 0; i < sz; ++i) {
-      g_local[i] += g_lse[i];
-      for (size_t j = 0; j < sz; ++j)
-        h_local[i * sz + j] -= g_lse[i] * g_lse[j];
-    }
-    return value;
+    fn_term.push_back(logc.size());
+    fn_sup.push_back(sup.size());
   }
 };
-
-/// Compiles a posynomial into a Func over n_total log-variables.
-Func compile(const posy::Posynomial& p) {
-  Func f;
-  std::vector<int> support;
-  for (const auto& t : p.terms())
-    for (const auto& fac : t.factors()) support.push_back(fac.var);
-  std::sort(support.begin(), support.end());
-  support.erase(std::unique(support.begin(), support.end()), support.end());
-  f.support = support;
-  auto local = [&](int var) {
-    return static_cast<int>(
-        std::lower_bound(support.begin(), support.end(), var) -
-        support.begin());
-  };
-  for (const auto& t : p.terms()) {
-    SMART_CHECK(t.coeff() > 0.0, "GP terms must have positive coefficients");
-    Func::Term ct;
-    ct.logc = std::log(t.coeff());
-    for (const auto& fac : t.factors())
-      ct.factors.emplace_back(local(fac.var), fac.exp);
-    f.terms.push_back(std::move(ct));
-  }
-  f.finish();
-  return f;
-}
 
 /// Validates problem data before any numerics touch it: every coefficient
 /// must be finite and positive, every exponent finite, the box non-empty.
@@ -198,193 +115,315 @@ Status validate_problem(const GpProblem& problem) {
   return Status::Ok();
 }
 
-/// Barrier-method state shared by both phases. Non-owning: the compiled
-/// functions and bounds live in the caller so multi-start restarts don't
-/// re-copy them per attempt.
-struct BarrierProblem {
-  const std::vector<Func>* constraints = nullptr;  ///< F_j(y) <= 0
-  const Func* objective = nullptr;  ///< minimized (times barrier weight t)
-  const Vec* ylo = nullptr;         ///< strict box bounds in log domain
-  const Vec* yhi = nullptr;
-  /// Phase I: the last variable is the auxiliary s, the objective is s
-  /// and every constraint reads F_j(y) - s.
-  bool aux_last = false;
-};
-
 /// Fraction-to-the-boundary rule (Wächter & Biegler, IPOPT, 2006): a
 /// line-search trial may shrink no barrier slack below this fraction of its
 /// value at the current iterate. A fixed algorithm constant, like the
 /// Armijo 1e-4.
 constexpr double kSlackFloor = 0.3;
 
-/// Scratch buffers reused across barrier evaluations.
-struct BarrierScratch {
-  std::vector<double> g_local;
-  std::vector<double> h_local;
-  std::vector<double> z;
-  std::vector<double> g_lse;
-  /// Barrier slacks at the current iterate, recorded by the derivative
-  /// pass: -F_j for every constraint, then the lower and upper box side of
-  /// every variable. The value-only (line-search trial) pass rejects a
-  /// point that leaves any of them below kSlackFloor times this value.
-  std::vector<double> slack;
-  /// Constraint slacks -F_j of the last value-only pass (valid when it
-  /// returned a finite value).
-  std::vector<double> trial_slack;
-  /// Set by a value-only pass that the slack floor rejected.
-  bool floor_rejected = false;
-};
-
 /// Wall-clock budget for one solve() call (shared across restarts).
 using Deadline = util::Deadline;
 
-/// Hessian assembly target: a dense matrix or a skyline profile. At most
-/// one pointer is set; both unset means "no second derivatives wanted".
-/// The skyline sink drops strict upper-triangle adds (the scatter loops
-/// write both halves of the symmetric matrix; the factorization only ever
-/// reads the lower one, for dense and skyline alike).
-struct HessSink {
-  util::Matrix* dense = nullptr;
-  util::SkylineMatrix* sky = nullptr;
-  explicit operator bool() const { return dense != nullptr || sky != nullptr; }
-  void add(size_t i, size_t j, double v) const {
-    if (dense)
-      (*dense)(i, j) += v;
+/// The log-barrier objective of one solve over its LseTable, in one of two
+/// phases:
+///   phase II: phi(y) = t F_m(y) - sum_j log u_j - sum_i log box slacks,
+///             u_j = -F_j(y);
+///   phase I:  y ends in the auxiliary s = y[n], the objective is t s and
+///             u_j = s - F_j(y).
+/// A point is evaluated in one batch: gather every term exponent z_k, shift
+/// each function by its largest, one exp over all terms, one log over the
+/// per-function sums (each >= 1) and, once the slacks are checked positive,
+/// one log over them. The term weights and function values of the last
+/// evaluated point are kept, keyed by its y[0..n), so the derivative pass
+/// at an accepted line-search trial and phase I's feasibility test read
+/// them instead of evaluating the point again.
+class Barrier {
+ public:
+  Barrier(const GpProblem& problem, size_t n) : n_(n) {
+    m_ = problem.constraints().size();
+    for (const auto& c : problem.constraints()) tab_.add(c.lhs);
+    tab_.add(problem.objective());
+    // Conditioning guardrail: shift the objective's log-coefficients so its
+    // largest term has logc 0 (equivalent to scaling the objective by a
+    // positive constant, which moves no argmin). Keeps t * f0 tame when
+    // cost coefficients are huge (e.g. power objectives in fF*V^2 units).
+    const auto obj_begin = tab_.logc.begin() +
+                           static_cast<std::ptrdiff_t>(tab_.fn_term[m_]);
+    const double logc_max = *std::max_element(obj_begin, tab_.logc.end());
+    if (std::fabs(logc_max) > 30.0)
+      for (auto it = obj_begin; it != tab_.logc.end(); ++it) *it -= logc_max;
+    w_.resize(tab_.logc.size());
+    sum_.resize(m_ + 1);
+    f_.resize(m_ + 1);
+    g_.resize(tab_.sup.size());
+    u_.resize(m_);
+    logs_.resize(m_ + 1);
+  }
+
+  size_t constraints() const { return m_; }
+
+  /// Selects phase I (`aux`, boxes of n + 1 entries, s last) or phase II.
+  void set_phase(bool aux, const Vec& ylo, const Vec& yhi) {
+    aux_ = aux;
+    ylo_ = &ylo;
+    yhi_ = &yhi;
+    slack_.resize(m_ + 2 * ylo.size());
+  }
+  bool aux() const { return aux_; }
+
+  /// max_j F_j(y); reads y[0..n) only.
+  double max_constraint(const Vec& y) {
+    evaluate(y, m_);
+    double mx = -kInf;  // NaN, once seen, sticks
+    for (size_t j = 0; j < m_; ++j)
+      if (std::isnan(f_[j]) || f_[j] > mx) mx = f_[j];
+    return mx;
+  }
+
+  /// Skyline profile of the barrier Hessian in the current phase: row i
+  /// can start no earlier than the smallest variable sharing a function
+  /// with i (each function couples only its support; the box adds the
+  /// diagonal, and phase I's s joins every constraint).
+  std::vector<size_t> profile_first() const {
+    const size_t nv = ylo_->size();
+    std::vector<size_t> first(nv);
+    for (size_t i = 0; i < nv; ++i) first[i] = i;
+    for (size_t f = 0; f < fns(); ++f) {
+      if (tab_.fn_sup[f] == tab_.fn_sup[f + 1]) continue;
+      const auto mn = static_cast<size_t>(tab_.sup[tab_.fn_sup[f]]);
+      for (size_t a = tab_.fn_sup[f]; a < tab_.fn_sup[f + 1]; ++a) {
+        auto& fv = first[static_cast<size_t>(tab_.sup[a])];
+        fv = std::min(fv, mn);
+      }
+      if (aux_) first[n_] = std::min(first[n_], mn);
+    }
+    return first;
+  }
+
+  /// phi at y, or +inf outside the domain. The derivative pass
+  /// (`iterate`) records every slack of y: -F_j or s - F_j per constraint,
+  /// then the lower and upper box side of every variable. A line-search
+  /// trial also returns +inf, and sets floor_rejected(), when a slack falls
+  /// below kSlackFloor times its recorded value. Both keep the constraint
+  /// slacks in u_ (center_aux reads the accepted trial's).
+  double phi_at(double t, const Vec& y, bool iterate) {
+    floor_rejected_ = false;
+    evaluate(y, fns());
+    auto ok = [&](size_t k, double u) {
+      if (!(u > 0.0) || !std::isfinite(u)) return false;
+      if (iterate) slack_[k] = u;
+      if (iterate || u >= kSlackFloor * slack_[k]) return true;
+      floor_rejected_ = true;
+      return false;
+    };
+    for (size_t j = 0; j < m_; ++j) {
+      u_[j] = aux_ ? y[n_] - f_[j] : -f_[j];
+      if (!ok(j, u_[j])) return kInf;
+    }
+    util::log_batch(u_.data(), logs_.data(), m_);
+    double phi = t * (aux_ ? y[n_] : f_[m_]);
+    for (size_t j = 0; j < m_; ++j) phi += -logs_[j];
+    for (size_t i = 0; i < y.size(); ++i) {
+      const double a = y[i] - (*ylo_)[i];
+      const double b = (*yhi_)[i] - y[i];
+      if (!ok(m_ + 2 * i, a) || !ok(m_ + 2 * i + 1, b)) return kInf;
+      phi += -std::log(a) - std::log(b);
+    }
+    return phi;
+  }
+  bool floor_rejected() const { return floor_rejected_; }
+
+  /// phi_at(y) as an iterate, plus its gradient and the lower triangle of
+  /// its Hessian. Entry (i, j), i >= j, of the Hessian is h[row[i] + j]
+  /// (dense and skyline storage alike); it is added to, so the caller
+  /// zeroes it. Also leaves the per-function gradients for step_cap.
+  ///   H = sum_k (c_f p_k) a_k a_k^T + sum_f o_f g_f g_f^T
+  /// with softmax weights p_k, g_f = grad F_f, c_f = 1/u_f and
+  /// o_f = 1/u_f^2 - 1/u_f for a constraint, c = t and o = -t for the
+  /// phase-II objective.
+  double derivs(double t, const Vec& y, Vec& grad, double* h,
+                const std::ptrdiff_t* row) {
+    const double phi = phi_at(t, y, /*iterate=*/true);
+    if (!std::isfinite(phi)) return phi;
+    std::fill(grad.begin(), grad.end(), 0.0);
+    if (aux_)
+      grad[n_] += t;
     else
-      sky->add(i, j, v);
+      add_function(m_, t, -t, grad, h, row);
+    for (size_t j = 0; j < m_; ++j) {
+      const double inv_u = 1.0 / u_[j];
+      const double inv_u2 = inv_u * inv_u;
+      add_function(j, inv_u, inv_u2 - inv_u, grad, h, row);
+      if (!aux_) continue;
+      // d(F_j - s)/ds = -1: the s row of g g^T / u^2, and the gradient.
+      grad[n_] -= inv_u;
+      double* hs = h + row[n_];
+      hs[n_] += inv_u2;
+      for (size_t a = tab_.fn_sup[j]; a < tab_.fn_sup[j + 1]; ++a)
+        hs[tab_.sup[a]] -= inv_u2 * g_[a];
+    }
+    for (size_t i = 0; i < y.size(); ++i) {
+      const double a = slack_[m_ + 2 * i];
+      const double b = slack_[m_ + 2 * i + 1];
+      grad[i] += -1.0 / a + 1.0 / b;
+      h[row[i] + static_cast<std::ptrdiff_t>(i)] += 1.0 / (a * a) +
+                                                    1.0 / (b * b);
+    }
+    return phi;
   }
+
+  /// The largest step fraction that the slack floor can accept along
+  /// `step` from the iterate of the last derivative pass. Every F_j is
+  /// convex, so u_j(alpha) <= u_j - alpha * grad(F_j [- s])^T step: a trial
+  /// with u_j - alpha d_j < kSlackFloor * u_j is certain to fail the floor,
+  /// and so is one that breaks it on a (linear) box side.
+  double step_cap(const Vec& step) const {
+    const double keep = 1.0 - kSlackFloor;
+    double cap = kInf;
+    for (size_t j = 0; j < m_; ++j) {
+      double d = aux_ ? -step[n_] : 0.0;
+      for (size_t a = tab_.fn_sup[j]; a < tab_.fn_sup[j + 1]; ++a)
+        d += g_[a] * step[static_cast<size_t>(tab_.sup[a])];
+      if (d > 0.0) cap = std::min(cap, keep * slack_[j] / d);
+    }
+    for (size_t i = 0; i < step.size(); ++i) {
+      if (step[i] < 0.0)
+        cap = std::min(cap, keep * slack_[m_ + 2 * i] / -step[i]);
+      else if (step[i] > 0.0)
+        cap = std::min(cap, keep * slack_[m_ + 2 * i + 1] / step[i]);
+    }
+    return cap;
+  }
+
+  /// Phase I only: minimizes phi exactly over the auxiliary s = y.back(),
+  /// the other variables fixed, given the constraint slacks u_ of the
+  /// accepted trial y. Along s, phi is the 1-D self-concordant
+  ///   t s - sum_j log(u_j + d) - log(s - lo + d) - log(hi - s - d)
+  /// of the shift d, so damped Newton steps (1 / (1 + lambda) while lambda
+  /// > 1/4) stay in its domain and never raise phi. Without this, a
+  /// phase-I stage can settle with some u_j far below 1/t (5e-9 at t =
+  /// 1e5), where the Newton step's curvature error along the active
+  /// constraint cancels its recovery of u_j, and crawl through its whole
+  /// iteration budget even under the slack floor; at the 1-D optimum
+  /// sum_j 1/u_j ~ t, which lifts such a u_j back to ~1/t.
+  void center_aux(double t, Vec& y) const {
+    const size_t k = y.size() - 1;
+    const double a = y[k] - (*ylo_)[k];
+    const double b = (*yhi_)[k] - y[k];
+    double d = 0.0;
+    for (int it = 0; it < 50; ++it) {
+      double g = t - 1.0 / (a + d) + 1.0 / (b - d);
+      double h = 1.0 / ((a + d) * (a + d)) + 1.0 / ((b - d) * (b - d));
+      for (const double u : u_) {
+        g -= 1.0 / (u + d);
+        h += 1.0 / ((u + d) * (u + d));
+      }
+      const double lambda = std::fabs(g) / std::sqrt(h);
+      if (!std::isfinite(lambda) || lambda * lambda < 1e-12) break;
+      d -= (g / h) / (lambda > 0.25 ? 1.0 + lambda : 1.0);
+    }
+    if (std::isfinite(d)) y[k] += d;
+  }
+
+ private:
+  /// Functions the current phase evaluates: phase I has no use for F_m.
+  size_t fns() const { return aux_ ? m_ : m_ + 1; }
+
+  /// Fills w_ (term weights exp(z_k - max_f)), sum_ and f_ for the first
+  /// `nf` functions at y, unless the cached point already covers them. A
+  /// non-finite exponent leaves every F NaN, which the slack checks reject.
+  void evaluate(const Vec& y, size_t nf) {
+    if (at_fns_ >= nf && std::equal(at_.begin(), at_.end(), y.begin()))
+      return;
+    at_fns_ = 0;
+    bool finite = true;
+    for (size_t f = 0; f < nf; ++f) {
+      double zmax = -kInf;
+      for (size_t k = tab_.fn_term[f]; k < tab_.fn_term[f + 1]; ++k) {
+        double z = tab_.logc[k];
+        for (size_t i = tab_.term_fac[k]; i < tab_.term_fac[k + 1]; ++i)
+          z += tab_.fac[i].exp * y[static_cast<size_t>(tab_.fac[i].var)];
+        finite = finite && std::isfinite(z);
+        w_[k] = z;
+        zmax = std::max(zmax, z);
+      }
+      for (size_t k = tab_.fn_term[f]; k < tab_.fn_term[f + 1]; ++k)
+        w_[k] -= zmax;
+      f_[f] = zmax;
+    }
+    if (!finite) {
+      std::fill(f_.begin(), f_.end(), kNaN);
+      return;
+    }
+    util::exp_batch(w_.data(), w_.data(), tab_.fn_term[nf]);
+    for (size_t f = 0; f < nf; ++f) {
+      double s = 0.0;
+      for (size_t k = tab_.fn_term[f]; k < tab_.fn_term[f + 1]; ++k)
+        s += w_[k];
+      sum_[f] = s;
+    }
+    util::log_batch(sum_.data(), logs_.data(), nf);
+    for (size_t f = 0; f < nf; ++f) f_[f] += logs_[f];
+    at_.assign(y.begin(), y.begin() + static_cast<std::ptrdiff_t>(n_));
+    at_fns_ = nf;
+  }
+
+  /// Adds function f's part of the gradient (c g_f) and of the lower
+  /// Hessian triangle (c sum_k p_k a_k a_k^T + o g_f g_f^T) at the cached
+  /// point, and leaves g_f in g_.
+  void add_function(size_t f, double c, double o, Vec& grad, double* h,
+                    const std::ptrdiff_t* row) {
+    const size_t s0 = tab_.fn_sup[f];
+    const size_t s1 = tab_.fn_sup[f + 1];
+    double* g = g_.data() + s0;
+    const int* sup = tab_.sup.data() + s0;
+    std::fill(g, g + (s1 - s0), 0.0);
+    const double inv_sum = 1.0 / sum_[f];
+    for (size_t k = tab_.fn_term[f]; k < tab_.fn_term[f + 1]; ++k) {
+      const double p = w_[k] * inv_sum;
+      const double cp = c * p;
+      const size_t i0 = tab_.term_fac[k];
+      for (size_t i = i0; i < tab_.term_fac[k + 1]; ++i) {
+        const auto& fi = tab_.fac[i];
+        g[fi.slot] += p * fi.exp;
+        const double ci = cp * fi.exp;
+        double* hr = h + row[fi.var];
+        for (size_t l = i0; l <= i; ++l)
+          hr[tab_.fac[l].var] += ci * tab_.fac[l].exp;
+      }
+    }
+    for (size_t a = 0; a < s1 - s0; ++a) {
+      grad[static_cast<size_t>(sup[a])] += c * g[a];
+      const double oa = o * g[a];
+      double* hr = h + row[sup[a]];
+      for (size_t b = 0; b <= a; ++b) hr[sup[b]] += oa * g[b];
+    }
+  }
+
+  LseTable tab_;
+  size_t n_ = 0;  ///< GP variables (phase I appends s at index n_)
+  size_t m_ = 0;  ///< constraints
+  bool aux_ = false;
+  const Vec* ylo_ = nullptr;  ///< strict box bounds in log domain
+  const Vec* yhi_ = nullptr;
+  /// The last evaluated point: its y[0..n), how many functions were
+  /// evaluated there (0 = none), term weights, per-function sums and F.
+  Vec at_;
+  size_t at_fns_ = 0;
+  std::vector<double> w_;
+  std::vector<double> sum_;
+  std::vector<double> f_;
+  /// Slacks at the iterate of the last derivative pass (-F_j or s - F_j
+  /// per constraint, then the lower and upper box side of every variable)
+  /// and its per-function gradients, one entry per support slot.
+  std::vector<double> slack_;
+  std::vector<double> g_;
+  /// Constraint slacks of the last evaluated point; logs of them or of
+  /// the per-function sums.
+  std::vector<double> u_;
+  std::vector<double> logs_;
+  bool floor_rejected_ = false;
 };
-
-/// Evaluates the barrier objective
-///   phi(y) = t * f0(y) - sum_j log(-F_j(y)) - sum_i log box slacks
-/// Returns +inf when outside the domain. grad/hess optional; local
-/// derivatives are scattered per function, so cost scales with the total
-/// constraint support, not with constraints x n^2. A derivative pass
-/// records the slacks of y in `scratch`; a value-only pass also returns
-/// +inf, and sets `scratch.floor_rejected`, when a slack of y falls below
-/// kSlackFloor times the recorded one.
-double barrier_eval(const BarrierProblem& bp, double t, const Vec& y,
-                    Vec* grad, HessSink hess, BarrierScratch& scratch) {
-  const size_t n = y.size();
-  if (grad) std::fill(grad->begin(), grad->end(), 0.0);
-  double phi = 0.0;
-
-  auto scatter = [&](const Func& f, double g_scale, double h_scale,
-                     double outer_scale) {
-    // grad += g_scale * g_local ; hess += h_scale * h_lse
-    //                            + outer_scale * g_local g_local^T
-    const auto& fs = f.full_support;
-    if (grad) {
-      for (size_t i = 0; i < fs.size(); ++i)
-        (*grad)[static_cast<size_t>(fs[i])] +=
-            g_scale * scratch.g_local[i];
-    }
-    if (hess) {
-      const size_t sz = f.support.size();
-      for (size_t i = 0; i < sz; ++i) {
-        const auto gi = static_cast<size_t>(f.support[i]);
-        for (size_t j = 0; j < sz; ++j)
-          hess.add(gi, static_cast<size_t>(f.support[j]),
-                   h_scale * scratch.h_local[i * sz + j]);
-      }
-      if (outer_scale != 0.0) {
-        for (size_t i = 0; i < fs.size(); ++i) {
-          const double gi = scratch.g_local[i];
-          if (gi == 0.0) continue;
-          for (size_t j = 0; j < fs.size(); ++j)
-            hess.add(static_cast<size_t>(fs[i]), static_cast<size_t>(fs[j]),
-                     outer_scale * gi * scratch.g_local[j]);
-        }
-      }
-    }
-  };
-
-  const bool derivs = grad != nullptr || static_cast<bool>(hess);
-  const size_t m = bp.constraints->size();
-  if (derivs) {
-    scratch.slack.resize(m + 2 * n);
-  } else {
-    scratch.trial_slack.resize(m);
-    scratch.floor_rejected = false;
-  }
-  // Records slack k (derivative pass) or checks it against its floor.
-  auto floor_ok = [&](size_t k, double u) {
-    if (derivs) {
-      scratch.slack[k] = u;
-      return true;
-    }
-    if (k < m) scratch.trial_slack[k] = u;
-    if (u >= kSlackFloor * scratch.slack[k]) return true;
-    scratch.floor_rejected = true;
-    return false;
-  };
-  {
-    const double f0 =
-        derivs ? bp.objective->eval_local(y, scratch.g_local,
-                                          scratch.h_local, scratch.z,
-                                          scratch.g_lse)
-               : bp.objective->value_at(y, scratch.z);
-    phi += t * f0;
-    if (derivs) scatter(*bp.objective, t, t, 0.0);
-  }
-
-  for (size_t j = 0; j < m; ++j) {
-    const Func& fj = (*bp.constraints)[j];
-    const double v =
-        derivs ? fj.eval_local(y, scratch.g_local, scratch.h_local,
-                               scratch.z, scratch.g_lse)
-               : fj.value_at(y, scratch.z);
-    const double u = -v;  // slack, must stay positive
-    if (u <= 0.0 || !std::isfinite(u) || !floor_ok(j, u))
-      return std::numeric_limits<double>::infinity();
-    phi += -std::log(u);
-    // d(-log(-F)) = F'/u ; d2 = F''/u + F' F'^T / u^2.
-    if (derivs) scatter(fj, 1.0 / u, 1.0 / u, 1.0 / (u * u));
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    const double a = y[i] - (*bp.ylo)[i];
-    const double b = (*bp.yhi)[i] - y[i];
-    if (a <= 0.0 || b <= 0.0 || !floor_ok(m + 2 * i, a) ||
-        !floor_ok(m + 2 * i + 1, b))
-      return std::numeric_limits<double>::infinity();
-    phi += -std::log(a) - std::log(b);
-    if (grad) (*grad)[i] += -1.0 / a + 1.0 / b;
-    if (hess) hess.add(i, i, 1.0 / (a * a) + 1.0 / (b * b));
-  }
-  return phi;
-}
-
-/// Phase I only: minimizes phi exactly over the auxiliary s = y.back(),
-/// the other variables fixed, given the constraint slacks at y in
-/// `scratch.trial_slack`. Along s, phi is the 1-D self-concordant
-///   t s - sum_j log(u_j + d) - log(s - lo + d) - log(hi - s - d)
-/// of the shift d, so damped Newton steps (1 / (1 + lambda) while lambda >
-/// 1/4) stay in its domain and never raise phi. Without this, a phase-I
-/// stage can settle with some u_j far below 1/t (5e-9 at t = 1e5), where
-/// the Newton step's curvature error along the active constraint cancels
-/// its recovery of u_j, and crawl through its whole iteration budget even
-/// under the slack floor; at the 1-D optimum sum_j 1/u_j ~ t, which lifts
-/// such a u_j back to ~1/t.
-void center_aux(const BarrierProblem& bp, double t, Vec& y,
-                const BarrierScratch& scratch) {
-  const size_t k = y.size() - 1;
-  const double a = y[k] - (*bp.ylo)[k];
-  const double b = (*bp.yhi)[k] - y[k];
-  double d = 0.0;
-  for (int it = 0; it < 50; ++it) {
-    double g = t - 1.0 / (a + d) + 1.0 / (b - d);
-    double h = 1.0 / ((a + d) * (a + d)) + 1.0 / ((b - d) * (b - d));
-    for (const double u : scratch.trial_slack) {
-      g -= 1.0 / (u + d);
-      h += 1.0 / ((u + d) * (u + d));
-    }
-    const double lambda = std::fabs(g) / std::sqrt(h);
-    if (!std::isfinite(lambda) || lambda * lambda < 1e-12) break;
-    d -= (g / h) / (lambda > 0.25 ? 1.0 + lambda : 1.0);
-  }
-  if (std::isfinite(d)) y[k] += d;
-}
 
 /// How a Newton minimization ended. kNonFinite covers both NaN/Inf in the
 /// barrier value or step and an unsolvable (indefinite) Newton system.
@@ -394,6 +433,7 @@ struct NewtonOutcome {
   int iterations = 0;
   int ls_trials = 0;         ///< line-search trials (barrier evaluations)
   int ls_floor_rejects = 0;  ///< trials rejected by the slack floor
+  int ls_skipped = 0;        ///< halvings skipped by the convexity bound
   StageExit exit = StageExit::kIterLimit;
   NewtonFailure failure = NewtonFailure::kNone;
 
@@ -419,8 +459,11 @@ struct NewtonOutcome {
 /// current value is rejected like an out-of-domain one. Armijo alone lets
 /// one full step right after a t increase drive a slack from 0.33 to 3e-8;
 /// Newton then crawls against a ~1e15 rank-one Hessian term for the rest
-/// of the stage, far from the central path.
-NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
+/// of the stage, far from the central path. Halvings that Barrier::step_cap
+/// proves would fail the floor are skipped without evaluating phi; they
+/// still count toward the 70-trial budget, so the accepted step is the one
+/// the full backtracking would take.
+NewtonOutcome newton_minimize(Barrier& bar, double t, Vec& y,
                               const SolverOptions& opt,
                               const Deadline& deadline,
                               const std::function<bool(const Vec&)>&
@@ -433,26 +476,12 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
   }
   Vec grad(n, 0.0);
   Vec trial(n, 0.0);
-  BarrierScratch scratch;
 
-  // KKT backend selection, once per minimization: the Hessian's sparsity
-  // profile is the union of per-function support cliques (each function
-  // couples only its own variables) plus the box diagonal, so row i of the
-  // lower triangle can start no earlier than the smallest variable that
-  // shares a function with i. When that envelope is sparse enough, assemble
-  // and factorize in skyline form; otherwise fall back to the dense path.
-  std::vector<size_t> first(n);
-  for (size_t i = 0; i < n; ++i) first[i] = i;
-  auto widen = [&](const Func& f) {
-    if (f.full_support.empty()) return;
-    int mn = f.full_support[0];
-    for (const int v : f.full_support) mn = std::min(mn, v);
-    for (const int v : f.full_support)
-      first[static_cast<size_t>(v)] =
-          std::min(first[static_cast<size_t>(v)], static_cast<size_t>(mn));
-  };
-  widen(*bp.objective);
-  for (const auto& f : *bp.constraints) widen(f);
+  // KKT backend selection, once per minimization: when the Hessian's
+  // skyline envelope is sparse enough, assemble and factorize in skyline
+  // form; otherwise fall back to the dense path. Both are assembled by the
+  // same loops through per-row offsets into their storage.
+  std::vector<size_t> first = bar.profile_first();
   size_t profile = 0;
   for (size_t i = 0; i < n; ++i) profile += i - first[i] + 1;
   const size_t dense_lower = n * (n + 1) / 2;
@@ -465,10 +494,14 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
   // Assembly buffers live across iterations; only the values are cleared.
   util::SkylineMatrix sky;
   Matrix hess;
-  if (use_skyline)
+  std::vector<std::ptrdiff_t> row(n);
+  if (use_skyline) {
     sky = util::SkylineMatrix(std::move(first));
-  else
+    for (size_t i = 0; i < n; ++i) row[i] = sky.row_offset(i);
+  } else {
     hess = Matrix(n, n, 0.0);
+    for (size_t i = 0; i < n; ++i) row[i] = static_cast<std::ptrdiff_t>(i * n);
+  }
 
   for (int it = 0; it < opt.max_newton_iters; ++it) {
     if (deadline.expired()) {
@@ -476,15 +509,12 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
       out.failure = NewtonFailure::kTimeout;
       return out;
     }
-    HessSink sink;
-    if (use_skyline) {
+    if (use_skyline)
       sky.clear_values();
-      sink.sky = &sky;
-    } else {
+    else
       hess.fill(0.0);
-      sink.dense = &hess;
-    }
-    double phi = barrier_eval(bp, t, y, &grad, sink, scratch);
+    double* h = use_skyline ? sky.values() : hess.data();
+    double phi = bar.derivs(t, y, grad, h, row.data());
     phi = util::fault_corrupt(util::FaultClass::kSolverNonFinite,
                               "gp.newton.phi", phi);
     if (!std::isfinite(phi)) {
@@ -494,7 +524,8 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     }
     // Levenberg-style floor keeps the system solvable when the Hessian is
     // nearly singular (e.g. slack variables far from activity).
-    for (size_t i = 0; i < n; ++i) sink.add(i, i, 1e-12);
+    for (size_t i = 0; i < n; ++i)
+      h[row[i] + static_cast<std::ptrdiff_t>(i)] += 1e-12;
     Vec step;
     try {
       step = use_skyline
@@ -518,23 +549,26 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
     }
     // Backtracking line search (Armijo on phi, strict decrease,
     // domain-respecting). `trial` is reused across trials and iterations.
+    const double cap = bar.step_cap(step);
     double alpha = 1.0;
     bool accepted = false;
-    for (int ls = 0; ls < 70; ++ls) {
+    for (int ls = 0; ls < 70; ++ls, alpha *= 0.5) {
+      if (alpha > cap) {
+        ++out.ls_skipped;
+        continue;
+      }
       trial = y;
       util::axpy(alpha, step, trial);
-      const double phi_trial =
-          barrier_eval(bp, t, trial, nullptr, HessSink{}, scratch);
+      const double phi_trial = bar.phi_at(t, trial, /*iterate=*/false);
       ++out.ls_trials;
-      if (scratch.floor_rejected) ++out.ls_floor_rejects;
+      if (bar.floor_rejected()) ++out.ls_floor_rejects;
       if (std::isfinite(phi_trial) && phi_trial < phi &&
           phi_trial <= phi - 1e-4 * alpha * decrement2) {
         std::swap(y, trial);
-        if (bp.aux_last) center_aux(bp, t, y, scratch);
+        if (bar.aux()) bar.center_aux(t, y);
         accepted = true;
         break;
       }
-      alpha *= 0.5;
     }
     if (!accepted) {
       out.exit = StageExit::kStall;  // no progress; treat as stationary
@@ -547,6 +581,7 @@ NewtonOutcome newton_minimize(const BarrierProblem& bp, double t, Vec& y,
   }
   return out;
 }
+
 
 /// Status/diagnostic pairing shared by run-attempt exits.
 FailureReason reason_of(SolveStatus s) {
@@ -699,34 +734,9 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     yhi[i] = std::log(std::max(info.upper, info.lower));
   }
 
-  std::vector<Func> constraints;
-  constraints.reserve(problem.constraints().size());
-  for (const auto& c : problem.constraints())
-    constraints.push_back(compile(c.lhs));
-  Func objective = compile(problem.objective());
-  // Conditioning guardrail: shift the objective's log-coefficients so its
-  // largest term has logc 0 (equivalent to scaling the objective by a
-  // positive constant, which moves no argmin). Keeps t * f0 tame when cost
-  // coefficients are huge (e.g. power objectives in fF*V^2 units).
-  if (!objective.terms.empty()) {
-    double logc_max = -std::numeric_limits<double>::infinity();
-    for (const auto& t : objective.terms)
-      logc_max = std::max(logc_max, t.logc);
-    if (std::fabs(logc_max) > 30.0)
-      for (auto& t : objective.terms) t.logc -= logc_max;
-  }
+  Barrier bar(problem, n);
 
   const Deadline deadline = Deadline::from_ms(options_.deadline_ms);
-
-  // max_j F_j(yy). Only reads yy[0..n), so phase I passes its augmented
-  // (y, s) iterate directly.
-  std::vector<double> max_scratch;
-  auto max_constraint = [&](const Vec& yy) {
-    double m = -std::numeric_limits<double>::infinity();
-    for (const auto& f : constraints)
-      m = std::max(m, f.value_at(yy, max_scratch));
-    return m;
-  };
 
   // Telemetry accumulators across attempts: barrier stages consumed and
   // the most recent duality-gap estimate (m_total / t; < 0 until phase II).
@@ -741,7 +751,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     // trace and the final phase-II barrier weight (0 until phase II runs).
     // All of it is derived from values the solve computes anyway, so the
     // iterate trajectory is untouched.
-    const double m_total = static_cast<double>(constraints.size()) +
+    const double m_total = static_cast<double>(bar.constraints()) +
                            2.0 * static_cast<double>(n);
     std::vector<StageTrace> trace;
     double t_final = 0.0;
@@ -792,11 +802,12 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     };
 
     // ---- Phase I: find a strictly feasible point ----
-    if (!constraints.empty() && max_constraint(y) >= -options_.feas_margin) {
+    if (bar.constraints() > 0 &&
+        bar.max_constraint(y) >= -options_.feas_margin) {
       obs::Span phase1_span("gp.phase1");
       // Augment with auxiliary s: minimize s subject to F_j(y) - s <= 0.
       Vec ylo1 = ylo, yhi1 = yhi;
-      const double s0 = max_constraint(y) + 1.0;
+      const double s0 = bar.max_constraint(y) + 1.0;
       if (!std::isfinite(s0)) {
         finish(SolveStatus::kNumericalError,
                "non-finite constraint value at the starting point");
@@ -805,26 +816,13 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       // Generous box for s keeps the barrier well-behaved.
       ylo1.push_back(std::min(-10.0, s0 - 100.0));
       yhi1.push_back(s0 + 100.0);
-      std::vector<Func> aug;
-      aug.reserve(constraints.size());
-      for (const auto& f : constraints) {
-        Func fa = f;
-        fa.linear_vars.push_back(static_cast<int>(n));
-        fa.linear_coef.push_back(-1.0);
-        fa.finish();
-        aug.push_back(std::move(fa));
-      }
-      Func obj_s;  // objective = s (pure linear)
-      obj_s.linear_vars.push_back(static_cast<int>(n));
-      obj_s.linear_coef.push_back(1.0);
-      obj_s.finish();
-      BarrierProblem p1{&aug, &obj_s, &ylo1, &yhi1, /*aux_last=*/true};
+      bar.set_phase(/*aux=*/true, ylo1, yhi1);
 
       Vec ys = y;
       ys.push_back(s0);
       const double want = -2.0 * options_.feas_margin;
       auto feasible_now = [&](const Vec& yy) {
-        return max_constraint(yy) < want;
+        return bar.max_constraint(yy) < want;
       };
       // Infeasibility certificate. At the central point of weight t the
       // duality gap of "min s s.t. F_j(y) <= s, y and s in their boxes" is
@@ -834,7 +832,7 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       // can be strictly feasible and the rest of the schedule cannot
       // change the verdict. Only a stage that ended on the Newton
       // decrement test is centered enough to issue it.
-      const double m1 = static_cast<double>(aug.size()) +
+      const double m1 = static_cast<double>(bar.constraints()) +
                         2.0 * static_cast<double>(n + 1);
       double certified_bound = -std::numeric_limits<double>::infinity();
       double t = 1.0;
@@ -842,12 +840,12 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
       for (int stage = 0; stage < options_.max_barrier_stages; ++stage) {
         ++total_stages;
         auto outcome =
-            newton_minimize(p1, t, ys, options_, deadline, feasible_now);
+            newton_minimize(bar, t, ys, options_, deadline, feasible_now);
         total_newton += outcome.iterations;
         trace.push_back({static_cast<int>(trace.size()), true, t,
                          outcome.iterations, outcome.converged(), -1.0,
                          outcome.exit, outcome.ls_trials,
-                         outcome.ls_floor_rejects});
+                         outcome.ls_floor_rejects, outcome.ls_skipped});
         if (outcome.failure != NewtonFailure::kNone) {
           p1_failure = outcome.failure;
           break;
@@ -858,7 +856,8 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
           certified_bound = ys[n] - m1 / t;
           break;
         }
-        if (static_cast<double>(aug.size()) / t < options_.tolerance) break;
+        if (static_cast<double>(bar.constraints()) / t < options_.tolerance)
+          break;
         t *= options_.barrier_mu;
       }
       y.assign(ys.begin(), ys.begin() + static_cast<long>(n));
@@ -881,18 +880,18 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
                             std::exp(certified_bound), certified_bound, t));
         return;
       }
-      if (max_constraint(y) >= 0.0) {
+      if (bar.max_constraint(y) >= 0.0) {
         finish(SolveStatus::kInfeasible,
                util::strfmt(
                    "phase I failed: max constraint value %.4g (want < 1)",
-                   std::exp(max_constraint(y))));
+                   std::exp(bar.max_constraint(y))));
         return;
       }
     }
 
     // ---- Phase II: barrier path following ----
     obs::Span phase2_span("gp.phase2");
-    const BarrierProblem p2{&constraints, &objective, &ylo, &yhi};
+    bar.set_phase(/*aux=*/false, ylo, yhi);
 
     double t = options_.t_initial;
     // A warm start that is strictly feasible sits near the previous
@@ -903,19 +902,19 @@ GpResult GpSolver::run(const GpProblem& problem, const util::Vec* x0) const {
     // path at high t, Newton exhausts its per-stage budget and the solve
     // settles on an uncentered point. Phase I above restores strict
     // feasibility when the raw warm point sat on its binding set.
-    if (x0 != nullptr && max_constraint(y) < -options_.feas_margin)
+    if (x0 != nullptr && bar.max_constraint(y) < -options_.feas_margin)
       t *= options_.barrier_mu * options_.barrier_mu;
     bool hit_limit = true;
     bool stage_exhausted = false;
     for (int stage = 0; stage < options_.max_barrier_stages; ++stage) {
       ++total_stages;
-      auto outcome = newton_minimize(p2, t, y, options_, deadline);
+      auto outcome = newton_minimize(bar, t, y, options_, deadline);
       total_newton += outcome.iterations;
       t_final = t;
       trace.push_back({static_cast<int>(trace.size()), false, t,
                        outcome.iterations, outcome.converged(), m_total / t,
                        outcome.exit, outcome.ls_trials,
-                       outcome.ls_floor_rejects});
+                       outcome.ls_floor_rejects, outcome.ls_skipped});
       if (outcome.failure == NewtonFailure::kTimeout) {
         finish(SolveStatus::kTimeout, "deadline exceeded in phase II");
         return;

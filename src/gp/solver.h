@@ -9,14 +9,24 @@
 ///              certifies that none exists;
 ///   phase II — standard log-barrier path following with damped Newton.
 ///
+/// Each solve compiles its posynomials into one flat log-sum-exp table
+/// that both phases share (phase I appends an auxiliary variable s and
+/// reads F_j - s). A point is evaluated in one batch: every term exponent,
+/// one vectorized exp over all terms and one vectorized log over the
+/// per-function sums and over the slacks (util/vecmath.h). The Newton
+/// system's lower triangle is assembled straight from the term weights,
+/// which are kept from the accepted line-search trial, so the derivative
+/// pass does not evaluate that point again.
+///
 /// The Newton line search accepts only steps that strictly decrease the
 /// barrier value; a stage that cannot make one ends as stationary. It also
 /// rejects a step that shrinks any barrier slack (a constraint's -F_j or a
 /// box side) below 0.3x its value at the current iterate, the interior-point
 /// fraction-to-the-boundary rule: it keeps the iterates near the central
-/// path, where the stage ends on the Newton decrement test. Phase I also
-/// minimizes exactly over its auxiliary variable after every step, which
-/// lifts a slack that slid far below 1/t over many steps.
+/// path, where the stage ends on the Newton decrement test. Halvings that
+/// convexity proves would break that rule are skipped unevaluated. Phase I
+/// also minimizes exactly over its auxiliary variable after every step,
+/// which lifts a slack that slid far below 1/t over many steps.
 ///
 /// Guardrails: the solver never throws and never returns non-finite
 /// variable values. Malformed problems, NaN/Inf surfacing mid-solve,
@@ -120,8 +130,12 @@ struct StageTrace {
   bool converged = false; ///< decrement, stall or feasible exit
   double gap = -1.0;      ///< duality-gap estimate; < 0 in phase I
   StageExit exit = StageExit::kDecrement;
-  int ls_trials = 0;         ///< line-search trials over the stage
+  int ls_trials = 0;         ///< line-search trials (barrier evaluations)
   int ls_floor_rejects = 0;  ///< of those, rejected by the slack floor
+  /// Halvings skipped without a barrier evaluation because convexity
+  /// proves they would fail the slack floor; ls_trials + ls_skipped is at
+  /// most 70 per Newton iteration.
+  int ls_skipped = 0;
 };
 
 /// Introspection record exported by every solve without perturbing it: all

@@ -395,10 +395,10 @@ std::string render_text(const ScopeReport& r) {
       if (t.exit == gp::StageExit::kDecrement) continue;
       out << util::strfmt("  stage %d (%s, t %.3g): %d Newton iters, "
                           "%d line-search trials (%d slack-floor "
-                          "rejects), exit %s\n",
+                          "rejects, %d halvings skipped), exit %s\n",
                           t.stage, t.phase1 ? "phase I" : "phase II", t.t,
                           t.newton_iters, t.ls_trials, t.ls_floor_rejects,
-                          gp::to_string(t.exit));
+                          t.ls_skipped, gp::to_string(t.exit));
     }
   }
   if (!r.respec.empty()) {
@@ -527,6 +527,7 @@ std::string render_json(const ScopeReport& r) {
            ", \"newton_iters\": " + jnum(t.newton_iters) +
            ", \"ls_trials\": " + jnum(t.ls_trials) +
            ", \"ls_floor_rejects\": " + jnum(t.ls_floor_rejects) +
+           ", \"ls_skipped\": " + jnum(t.ls_skipped) +
            ", \"converged\": " + (t.converged ? "true" : "false") +
            ", \"exit\": \"" + gp::to_string(t.exit) + "\"" +
            ", \"gap\": " + jnum(t.gap) + "}";

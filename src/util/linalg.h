@@ -29,6 +29,8 @@ class Matrix {
 
   /// Sets every entry to v (buffer-reuse helper for iterative assemblies).
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
+  /// Row-major storage: entry (r, c) is data()[r * cols() + c].
+  double* data() { return data_.data(); }
 
   /// A += alpha * x * x^T (symmetric rank-1 update; requires square A).
   void add_outer(const Vec& x, double alpha);
@@ -87,10 +89,15 @@ class SkylineMatrix {
     return vals_[start_[i] + j - first_[i]];
   }
   /// Adds v at (i, j) when (i, j) lies in the stored lower triangle and
-  /// silently drops strict upper-triangle coordinates, so symmetric
-  /// scatter loops can feed dense and skyline sinks identically.
+  /// silently drops strict upper-triangle coordinates.
   void add(size_t i, size_t j, double v) {
     if (j <= i) at(i, j) += v;
+  }
+  /// Raw storage for assembly loops: entry (i, j), first(i) <= j <= i, is
+  /// values()[row_offset(i) + j]. The offset is never negative.
+  double* values() { return vals_.data(); }
+  std::ptrdiff_t row_offset(size_t i) const {
+    return static_cast<std::ptrdiff_t>(start_[i] - first_[i]);
   }
 
  private:

@@ -36,8 +36,15 @@
 
 // External linkage on purpose: dladdr symbolization only sees dynamic
 // symbols (-rdynamic exports non-static functions from the binary), so the
-// hot frames the tests look for must not be file-static.
-__attribute__((noinline)) uint64_t prof_test_hot_spin(uint64_t iters) {
+// hot frames the tests look for must not be file-static. noipa also keeps
+// GCC's interprocedural constant propagation at -O3 from replacing a spin
+// with a local `.constprop` clone, which dladdr cannot name.
+#if defined(__clang__)
+#define PROF_TEST_SPIN __attribute__((noinline))
+#else
+#define PROF_TEST_SPIN __attribute__((noipa))
+#endif
+PROF_TEST_SPIN uint64_t prof_test_hot_spin(uint64_t iters) {
   uint64_t acc = 1469598103934665603ull;
   for (uint64_t i = 0; i < iters; ++i) {
     acc ^= i;
@@ -46,7 +53,7 @@ __attribute__((noinline)) uint64_t prof_test_hot_spin(uint64_t iters) {
   return acc;
 }
 
-__attribute__((noinline)) uint64_t prof_test_other_spin(uint64_t iters) {
+PROF_TEST_SPIN uint64_t prof_test_other_spin(uint64_t iters) {
   uint64_t acc = 88172645463325252ull;
   for (uint64_t i = 0; i < iters; ++i) {
     acc ^= acc << 13;

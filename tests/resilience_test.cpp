@@ -291,6 +291,25 @@ TEST(GpResilienceTest, DecoderRespecSolvesNeverEndMaxIter) {
     EXPECT_NE(it.gp_status, SolveStatus::kMaxIter) << "respec iter " << it.iter;
 }
 
+TEST(GpResilienceTest, DecoderIsoDelayNewtonEffortStaysBounded) {
+  // One-sided effort bound on the Fig 5(c) 7:128 decoder iso-delay sizing
+  // at 10 fF, whose three respec solves took at most 2,378 Newton
+  // iterations before the flat barrier kernel (2,360 in a RelWithDebInfo
+  // build). A wrong Hessian term still converges to matching widths, but
+  // only after extra iterations.
+  core::MacroSpec spec;
+  spec.type = "decoder";
+  spec.n = 7;
+  spec.load_ff = 10.0;
+  const auto* entry = macros::builtin_database().find("decoder", "predecode");
+  ASSERT_NE(entry, nullptr);
+  const auto nl = entry->generate(spec);
+  const auto cmp = core::run_iso_delay(nl, tech::default_tech(),
+                                       models::default_library());
+  ASSERT_TRUE(cmp.ok) << cmp.smart.message;
+  EXPECT_LE(cmp.smart.gp_newton_iterations, static_cast<int>(1.01 * 2378));
+}
+
 // ---------------------------------------------------------------------------
 // Sizer degradation ladder
 // ---------------------------------------------------------------------------

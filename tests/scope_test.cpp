@@ -272,13 +272,21 @@ TEST_F(ScopeReportTest, DominoReportJsonRoundTrips) {
                 exit->str == "feasible" || exit->str == "iter_limit")
         << exit->str;
     // ... and how many line-search trials it spent, of which the slack
-    // floor rejected at most all.
+    // floor rejected at most all, and how many halvings the convexity
+    // bound skipped; evaluated and skipped halvings share the 70-trial
+    // budget of every Newton iteration.
     const auto* trials = st.find("ls_trials");
     const auto* rejects = st.find("ls_floor_rejects");
+    const auto* skipped = st.find("ls_skipped");
+    const auto* iters = st.find("newton_iters");
     ASSERT_NE(trials, nullptr);
     ASSERT_NE(rejects, nullptr);
+    ASSERT_NE(skipped, nullptr);
+    ASSERT_NE(iters, nullptr);
     EXPECT_GE(rejects->number, 0.0);
     EXPECT_LE(rejects->number, trials->number);
+    EXPECT_GE(skipped->number, 0.0);
+    EXPECT_LE(trials->number + skipped->number, 70.0 * iters->number);
   }
   EXPECT_FALSE(root.find("respec")->array.empty());
 }
